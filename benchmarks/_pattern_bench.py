@@ -1,12 +1,6 @@
 """Shared body for the Table 9/10/11 pattern-search benchmarks."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import pattern_tables  # noqa: E402
-from common import report, report_printed, sf_for  # noqa: E402
+import pattern_tables
+from common import report, report_printed, sf_for
 
 
 def run_pattern_table(spark, benchmark, profile: str):

@@ -2,17 +2,18 @@
 
 A rigid pattern is a small DAG over labels; same-label vertices map to
 the same graph vertex (the device that encodes cycles such as
-``a -> b -> a``). The flow of an instance is computed on a
-:class:`TemporalGraph` whose vertices are the pattern labels, with the
-source label's outgoing copy as source and the sink label (``a`` again
-for cyclic patterns, split into a sink copy) as sink.
+``a -> b -> a``). The flow of an instance is computed on the
+:class:`TemporalGraph` built by :func:`instance_graph`: the instance's
+graph vertices, with the source label's outgoing copy as source and the
+sink label (``a`` again for cyclic patterns, split into a sink copy) as
+sink. The L2/L3/C2 path tables are the instances of P2/P3/P1.
 
 See DESIGN.md §3 for how P1–P6 / RP1–RP3 were reconstructed from the
 paper's prose (the figure itself is not in the text).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .graph import SINK, SOURCE, TemporalGraph
@@ -33,12 +34,17 @@ class Pattern:
     source: str = "a"
     sink: str = "a"
     relaxed: bool = False
-    #: for relaxed patterns: hop count of each parallel path (2 or 3)
-    path_hops: int = 0
+    #: the precomputed path tables (keys of :data:`PATH_TABLES`) that
+    #: cover the pattern's edges, in edge order — how PB assembles it;
+    #: edges left over are chords probed against the edge table.
+    parts: Tuple[str, ...] = ()
     #: automorphism breaker: order the two label groups so each instance
     #: (subgraph, Definition 3) is enumerated once — e.g. P6's two 3-hop
     #: cycles are interchangeable, so we require label b < label d.
     canonical_lt: Tuple[str, str] | None = None
+
+    def __str__(self) -> str:  # result rows and error messages show the name
+        return self.name
 
     @property
     def cyclic(self) -> bool:
@@ -53,27 +59,40 @@ class Pattern:
         return list(seen)
 
 
-P1 = Pattern("P1", (("a", "b"), ("b", "c")), source="a", sink="c")
-P2 = Pattern("P2", (("a", "b"), ("b", "a")))
-P3 = Pattern("P3", (("a", "b"), ("b", "c"), ("c", "a")))
+P1 = Pattern("P1", (("a", "b"), ("b", "c")), source="a", sink="c", parts=("c2",))
+P2 = Pattern("P2", (("a", "b"), ("b", "a")), parts=("l2",))
+P3 = Pattern("P3", (("a", "b"), ("b", "c"), ("c", "a")), parts=("l3",))
 # Figure 8(b) prose: 3-cycle plus chords a->c and b->a; the chords give
 # b two outgoing edges, so instances are (generally) not greedy-soluble
 # and per-instance LP is needed even under PB.
-P4 = Pattern("P4", (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a")))
+P4 = Pattern(
+    "P4",
+    (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a")),
+    parts=("l3",),
+)
 # Figure 8(a): 2-hop cycle (via e) + 3-hop cycle (via b, c) sharing a.
-P5 = Pattern("P5", (("a", "e"), ("e", "a"), ("a", "b"), ("b", "c"), ("c", "a")))
+P5 = Pattern(
+    "P5",
+    (("a", "e"), ("e", "a"), ("a", "b"), ("b", "c"), ("c", "a")),
+    parts=("l2", "l3"),
+)
 P6 = Pattern(
     "P6",
     (("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")),
     canonical_lt=("b", "d"),
+    parts=("l3", "l3"),
 )
-RP1 = Pattern("RP1", (("a", "b"), ("b", "c")), source="a", sink="c", relaxed=True, path_hops=2)
-RP2 = Pattern("RP2", (("a", "b"), ("b", "a")), relaxed=True, path_hops=2)
-RP3 = Pattern("RP3", (("a", "b"), ("b", "c"), ("c", "a")), relaxed=True, path_hops=3)
+RP1 = Pattern("RP1", P1.edges, source="a", sink="c", relaxed=True, parts=("c2",))
+RP2 = Pattern("RP2", P2.edges, relaxed=True, parts=("l2",))
+RP3 = Pattern("RP3", P3.edges, relaxed=True, parts=("l3",))
 
 ALL_PATTERNS: Dict[str, Pattern] = {
     p.name: p for p in (P1, P2, P3, P4, P5, P6, RP1, RP2, RP3)
 }
+
+#: The precomputed path tables of Section 5.2, by the path pattern each
+#: stores: one row per instance, with the pattern's labels as columns.
+PATH_TABLES: Dict[str, Pattern] = {"c2": P1, "l2": P2, "l3": P3}
 
 
 def instance_graph(
@@ -81,7 +100,8 @@ def instance_graph(
     mapping: Dict[str, int],
     interactions: Dict[Tuple[int, int], Sequence[Tuple[float, float]]],
 ) -> TemporalGraph:
-    """Build the flow DAG of one pattern instance.
+    """Build the flow DAG of one pattern instance — the one place that
+    turns an instance's interactions into a :class:`TemporalGraph`.
 
     ``mapping`` maps labels to graph vertex ids; ``interactions`` maps
     *graph* edges to their interaction sequences. For cyclic patterns

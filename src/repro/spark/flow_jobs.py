@@ -55,24 +55,23 @@ def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFra
     )
 
 
+def _method_aggs() -> list:
+    """Subgraph count and per-method average milliseconds (Tables 6-8);
+    built per call, since a Column needs an active Spark session."""
+    return [
+        F.count("*").alias("n_subgraphs"),
+        F.avg("ms_greedy").alias("greedy_ms"),
+        F.avg("ms_lp").alias("lp_ms"),
+        F.avg("ms_pre").alias("pre_ms"),
+        F.avg("ms_presim").alias("presim_ms"),
+    ]
+
+
 def runtime_table(results: DataFrame) -> DataFrame:
     """Tables 6-8 shape: All / Class A / B / C rows with per-method
     average milliseconds and subgraph counts."""
-    per_class = results.groupBy("cls").agg(
-        F.count("*").alias("n_subgraphs"),
-        F.avg("ms_greedy").alias("greedy_ms"),
-        F.avg("ms_lp").alias("lp_ms"),
-        F.avg("ms_pre").alias("pre_ms"),
-        F.avg("ms_presim").alias("presim_ms"),
-    )
-    overall = results.agg(
-        F.lit("All").alias("cls"),
-        F.count("*").alias("n_subgraphs"),
-        F.avg("ms_greedy").alias("greedy_ms"),
-        F.avg("ms_lp").alias("lp_ms"),
-        F.avg("ms_pre").alias("pre_ms"),
-        F.avg("ms_presim").alias("presim_ms"),
-    )
+    per_class = results.groupBy("cls").agg(*_method_aggs())
+    overall = results.agg(F.lit("All").alias("cls"), *_method_aggs())
     return overall.unionByName(per_class).orderBy("cls")
 
 
@@ -87,12 +86,6 @@ def interaction_bucket_table(results: DataFrame) -> DataFrame:
     return (
         results.withColumn("bucket", bucket)
         .groupBy("bucket")
-        .agg(
-            F.count("*").alias("n_subgraphs"),
-            F.avg("ms_greedy").alias("greedy_ms"),
-            F.avg("ms_lp").alias("lp_ms"),
-            F.avg("ms_pre").alias("pre_ms"),
-            F.avg("ms_presim").alias("presim_ms"),
-        )
+        .agg(*_method_aggs())
         .orderBy("bucket")
     )

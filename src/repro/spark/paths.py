@@ -9,91 +9,50 @@ path family, with a ``flow`` column (the path's max flow) and a
 incremental flow computation when paths are stitched into larger
 patterns).
 
-Enumeration is Catalyst self-joins; the per-path greedy run happens in
-``applyInPandas`` over the (small) per-path interaction groups.
+The tables hold the instances of the patterns P2 (L2), P3 (L3) and P1
+(C2). Enumeration is Catalyst self-joins; the per-path greedy run
+happens in ``applyInPandas`` via
+:func:`repro.spark.pattern_search.instance_flows`.
 """
 from __future__ import annotations
 
-from typing import List
-
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.graph import SINK, SOURCE, TemporalGraph
+from ..core.graph import TemporalGraph
 from ..core.greedy import greedy_sink_deliveries
+from ..core.patterns import P1, P2, P3, Pattern
 from .network import edges_df
+from .pattern_search import instance_flows
 from .subgraphs import cycle_paths
 
 
-def _chain_deliveries(pdf: pd.DataFrame, n_hops: int) -> pd.DataFrame:
-    """Greedy delivery sequence for one path (rows tagged with ``hop``).
-
-    Hop ``i`` is the path's ``i``-th edge; vertices are relabeled
-    ``SOURCE → m_1 → ... → m_{n_hops-1} → SINK`` so the chain's greedy
-    run is independent of the original ids.
-    """
-    rows = []
-    for hop, ts, qty in zip(pdf["hop"], pdf["ts"], pdf["qty"]):
-        v = SOURCE if hop == 0 else int(hop)
-        u = SINK if hop == n_hops - 1 else int(hop) + 1
-        rows.append((v, u, ts, qty))
-    g = TemporalGraph.from_interactions(rows, source=SOURCE, sink=SINK)
+def _chain_flow(g: TemporalGraph) -> dict:
     deliveries = greedy_sink_deliveries(g)
-    key = {c: pdf[c].iloc[0] for c in pdf.columns if c not in ("hop", "ts", "qty")}
-    return pd.DataFrame(
-        [
-            {
-                **key,
-                "flow": float(sum(q for _, q in deliveries)),
-                "deliveries": [
-                    {"ts": int(t), "qty": float(q)} for t, q in deliveries
-                ],
-            }
-        ]
-    )
+    return {
+        "flow": float(sum(q for _, q in deliveries)),
+        "deliveries": [{"ts": int(t), "qty": float(q)} for t, q in deliveries],
+    }
 
 
-def _path_table(
-    interactions: DataFrame, paths: DataFrame, hop_edges: List[tuple]
-) -> DataFrame:
-    """Attach per-hop interactions to ``paths`` and run the chain greedy.
-
-    ``hop_edges[i] = (tail_col, head_col)`` names the path columns that
-    form hop ``i``'s edge in the original graph.
-    """
-    key_cols = paths.columns
-    n_hops = len(hop_edges)
-    tagged = None
-    for hop, (tc, hc) in enumerate(hop_edges):
-        part = paths.join(
-            interactions,
-            (paths[tc] == interactions["src"]) & (paths[hc] == interactions["dst"]),
-        ).select(*key_cols, F.lit(hop).alias("hop"), "ts", "qty")
-        tagged = part if tagged is None else tagged.unionByName(part)
-    schema = (
-        ", ".join(f"{c} long" for c in key_cols)
-        + ", flow double, deliveries array<struct<ts: long, qty: double>>"
-    )
-    return tagged.groupBy(*key_cols).applyInPandas(
-        lambda pdf: _chain_deliveries(pdf, n_hops), schema=schema
+def _path_table(interactions: DataFrame, pattern: Pattern, paths: DataFrame) -> DataFrame:
+    return instance_flows(
+        interactions,
+        pattern,
+        paths,
+        _chain_flow,
+        "flow double, deliveries array<struct<ts: long, qty: double>>",
     )
 
 
 def l2_table(interactions: DataFrame) -> DataFrame:
     """2-hop cycle table: ``(a, b, flow, deliveries)`` for ``a→b→a``."""
-    return _path_table(
-        interactions, cycle_paths(interactions, 2), [("a", "b"), ("b", "a")]
-    )
+    return _path_table(interactions, P2, cycle_paths(interactions, 2))
 
 
 def l3_table(interactions: DataFrame) -> DataFrame:
     """3-hop cycle table: ``(a, b, c, flow, deliveries)`` for ``a→b→c→a``."""
-    return _path_table(
-        interactions,
-        cycle_paths(interactions, 3),
-        [("a", "b"), ("b", "c"), ("c", "a")],
-    )
+    return _path_table(interactions, P3, cycle_paths(interactions, 3))
 
 
 def c2_table(interactions: DataFrame) -> DataFrame:
@@ -112,4 +71,4 @@ def c2_table(interactions: DataFrame) -> DataFrame:
             F.col("e2.v").alias("c"),
         )
     )
-    return _path_table(interactions, chains, [("a", "b"), ("b", "c")])
+    return _path_table(interactions, P1, chains)

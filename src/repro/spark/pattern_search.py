@@ -7,12 +7,15 @@ instance's raw interactions are gathered and its maximum flow computed
 from scratch with the full PreSim pipeline in ``applyInPandas``.
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
-from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and
-flows reuse the tables' precomputed chain flows wherever the paths are
-independent (P1/P2/P3, and additively for P5/P6 and the relaxed
-patterns, per Lemma 3). Only P4 — whose chords make the precomputed
-flows unusable (Figure 8(b) discussion) — falls back to per-instance
-flow computation, which is why the paper sees PB ≈ GB for P4.
+from the precomputed L2/L3/C2 path tables (`repro.spark.paths`) that
+``Pattern.parts`` names, and flows add up the tables' precomputed chain
+flows (P1/P2/P3 directly, P5/P6 and the relaxed patterns additively,
+per Lemma 3). Only P4 — whose chords make the precomputed flows
+unusable (Figure 8(b) discussion) — falls back to per-instance flow
+computation, which is why the paper sees PB ≈ GB for P4.
+
+GB, P4 under PB, and the path tables themselves all compute flows with
+:func:`instance_flows`.
 
 Both return one row per instance with the pattern's label columns and a
 ``flow`` column, so tests can assert GB ≡ PB exactly.
@@ -20,17 +23,23 @@ Both return one row per instance with the pattern's label columns and a
 from __future__ import annotations
 
 import time
-from itertools import combinations
-from typing import Dict, Optional
+from collections import defaultdict
+from itertools import combinations, product
+from typing import Callable, Dict, List, Optional
 
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.graph import SINK, SOURCE, TemporalGraph
-from ..core.patterns import Pattern
+from ..core.graph import TemporalGraph
+from ..core.patterns import PATH_TABLES, Pattern, instance_graph
 from ..core.pipeline import run_presim
 from .network import edges_df
+
+
+class PBNotApplicable(ValueError):
+    """PB cannot run a pattern: a path table it needs was not
+    precomputed, or no path table covers it (the paper's "n/a" cells)."""
 
 
 # --------------------------------------------------------------------------
@@ -56,7 +65,7 @@ def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
                 c = F.col(col) == F.col(bound[lbl])
                 cond = c if cond is None else (cond & c)
         if cond is None:  # pattern edge disconnected from what's bound
-            raise ValueError(f"pattern {pattern.name}: edge {i} binds no known label")
+            raise ValueError(f"pattern {pattern}: edge {i} binds no known label")
         df = df.join(ei, cond)
         bound.setdefault(lv, f"__u{i}")
         bound.setdefault(lu, f"__v{i}")
@@ -68,43 +77,45 @@ def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     return df.select(*[F.col(bound[l]).alias(l) for l in pattern.labels]).distinct()
 
 
-def _instance_flow_udf(pattern: Pattern):
-    """Per-instance max-flow (PreSim) from hop-tagged raw interactions."""
-    labels = pattern.labels
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for pe, ts, qty in zip(pdf["__pe"], pdf["ts"], pdf["qty"]):
-            lv, lu = pattern.edges[int(pe)]
-            v = SOURCE if lv == pattern.source else int(pdf[lv].iloc[0])
-            u = SINK if lu == pattern.sink else int(pdf[lu].iloc[0])
-            rows.append((v, u, ts, qty))
-        g = TemporalGraph.from_interactions(rows, source=SOURCE, sink=SINK)
-        flow = run_presim(g).flow
-        out = {l: int(pdf[l].iloc[0]) for l in labels}
-        out["flow"] = float(flow)
-        return pd.DataFrame([out])
-
-    return fn
+def _presim_flow(g: TemporalGraph) -> dict:
+    return {"flow": float(run_presim(g).flow)}
 
 
-def instances_with_flow_from_raw(
-    interactions: DataFrame, pattern: Pattern, instances: DataFrame
+def instance_flows(
+    interactions: DataFrame,
+    pattern: Pattern,
+    instances: DataFrame,
+    flow: Callable[[TemporalGraph], dict],
+    schema: str,
 ) -> DataFrame:
-    """Gather each instance's interactions and compute its flow (PreSim)."""
+    """Gather each instance's raw interactions and compute its flow.
+
+    One join per pattern edge attaches the interactions of the edge's
+    graph vertices; ``applyInPandas`` then calls ``flow`` on each
+    instance's :func:`~repro.core.patterns.instance_graph`. ``flow``
+    returns the output columns that follow the labels, typed by
+    ``schema``.
+    """
     labels = pattern.labels
     tagged = None
-    for i, (lv, lu) in enumerate(pattern.edges):
+    for lv, lu in pattern.edges:
         part = instances.join(
             interactions,
             (instances[lv] == interactions["src"])
             & (instances[lu] == interactions["dst"]),
-        ).select(*labels, F.lit(i).alias("__pe"), "ts", "qty")
+        ).select(*labels, "src", "dst", "ts", "qty")
         tagged = part if tagged is None else tagged.unionByName(part)
-    schema = ", ".join(f"{l} long" for l in labels) + ", flow double"
-    return tagged.groupBy(*labels).applyInPandas(
-        _instance_flow_udf(pattern), schema=schema
-    )
+
+    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        mapping = {l: int(pdf[l].iloc[0]) for l in labels}
+        seqs = defaultdict(list)
+        for src, dst, ts, qty in zip(pdf["src"], pdf["dst"], pdf["ts"], pdf["qty"]):
+            seqs[(int(src), int(dst))].append((ts, qty))
+        g = instance_graph(pattern, mapping, seqs)
+        return pd.DataFrame([{**mapping, **flow(g)}])
+
+    schema = ", ".join(f"{l} long" for l in labels) + ", " + schema
+    return tagged.groupBy(*labels).applyInPandas(fn, schema=schema)
 
 
 def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
@@ -113,51 +124,48 @@ def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     For relaxed patterns the constituent paths are enumerated and their
     flows computed from raw interactions, then aggregated per instance
     (source vertex, or (a, c) endpoint pair for RP1)."""
-    if not pattern.relaxed:
-        inst = gb_instances(interactions, pattern)
-        return instances_with_flow_from_raw(interactions, pattern, inst)
-    paths = gb_instances(interactions, pattern)  # one row per parallel path
-    per_path = instances_with_flow_from_raw(interactions, pattern, paths)
-    return _aggregate_relaxed(per_path, pattern)
+    inst = gb_instances(interactions, pattern)
+    per = instance_flows(interactions, pattern, inst, _presim_flow, "flow double")
+    return _aggregate_relaxed(per, pattern) if pattern.relaxed else per
 
 
 # --------------------------------------------------------------------------
 # PB: assembly from precomputed path tables
 # --------------------------------------------------------------------------
-def _select_disjoint(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Greedy vertex-disjoint selection of 3-cycles for one source ``a``
+def _select_disjoint(pdf: pd.DataFrame, key: List[str], mids: List[str]) -> pd.DataFrame:
+    """Greedy vertex-disjoint selection of one instance's parallel paths
     (flow-descending, deterministic tie-break) — honours the Section 6.3
     requirement that all intermediate vertices of a relaxed instance's
     parallel paths be different."""
-    pdf = pdf.sort_values(["flow", "b", "c"], ascending=[False, True, True])
+    pdf = pdf.sort_values(["flow", *mids], ascending=[False] + [True] * len(mids))
     used: set = set()
     total, n = 0.0, 0
-    for b, c, f in zip(pdf["b"], pdf["c"], pdf["flow"]):
-        if b in used or c in used:
+    for f, *vs in zip(pdf["flow"], *(pdf[m] for m in mids)):
+        vs = [int(v) for v in vs]
+        if used.intersection(vs):
             continue
-        used.update((int(b), int(c)))
+        used.update(vs)
         total += float(f)
         n += 1
     return pd.DataFrame(
-        [{"a": int(pdf["a"].iloc[0]), "flow": total, "n_paths": n}]
+        [{**{k: int(pdf[k].iloc[0]) for k in key}, "flow": total, "n_paths": n}]
     )
 
 
 def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:
-    """Aggregate parallel-path rows into relaxed-pattern instances."""
-    if pattern.name == "RP1":
-        return per_path.groupBy("a", "c").agg(
+    """Aggregate parallel-path rows into relaxed-pattern instances: one
+    per distinct ``(source, sink)`` vertex pair."""
+    key = list(dict.fromkeys((pattern.source, pattern.sink)))
+    mids = [l for l in pattern.labels if l not in key]
+    if len(mids) == 1:
+        # Distinct paths with one intermediate vertex are vertex-disjoint.
+        return per_path.groupBy(*key).agg(
             F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
         )
-    if pattern.name == "RP2":
-        return per_path.groupBy("a").agg(
-            F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
-        )
-    if pattern.name == "RP3":
-        return per_path.select("a", "b", "c", "flow").groupBy("a").applyInPandas(
-            _select_disjoint, schema="a long, flow double, n_paths long"
-        )
-    raise ValueError(f"not a relaxed pattern: {pattern.name}")
+    schema = ", ".join(f"{k} long" for k in key) + ", flow double, n_paths long"
+    return per_path.select(*key, *mids, "flow").groupBy(*key).applyInPandas(
+        lambda pdf: _select_disjoint(pdf, key, mids), schema=schema
+    )
 
 
 def pb_search(
@@ -170,96 +178,70 @@ def pb_search(
 ) -> DataFrame:
     """PB pipeline for ``pattern`` using the precomputed tables.
 
-    Raises ``ValueError`` when the needed table is missing — the paper's
-    "PB not applicable" case (P1/RP1 on Bitcoin and CTU-13, where no
-    chain table was precomputed).
+    Joins the tables named by ``pattern.parts`` on the source label,
+    each renamed to the labels of the run of pattern edges it covers,
+    and keeps rows whose parts share no other vertex. Without chords
+    the flow is the sum of the parts' precomputed flows: each part is a
+    source-chain, so the parts are independent (Lemma 3). Chords — edges
+    no part covers, P4's a→c and b→a (Figure 8(b)) — are probed against
+    the edge table, and they make the precomputed flows unusable: each
+    instance's flow is then computed from raw interactions with PreSim.
+
+    Raises :class:`PBNotApplicable` when a needed table is missing — the
+    paper's "PB not applicable" case (P1/RP1 on Bitcoin and CTU-13,
+    where no chain table was precomputed) — or no table covers the
+    pattern.
     """
-    name = pattern.name
-    if name in ("P1", "RP1"):
-        if c2 is None:
-            raise ValueError(f"PB not applicable for {name}: no C2 table")
-        per_path = c2.select("a", "b", "c", "flow")
-        if name == "P1":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
-    if name in ("P2", "RP2"):
-        if l2 is None:
-            raise ValueError(f"PB not applicable for {name}: no L2 table")
-        per_path = l2.select("a", "b", "flow")
-        if name == "P2":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
-    if name in ("P3", "RP3"):
-        if l3 is None:
-            raise ValueError(f"PB not applicable for {name}: no L3 table")
-        per_path = l3.select("a", "b", "c", "flow")
-        if name == "P3":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
-    if name == "P5":
-        # Figure 8(a): merge-join L2 and L3 on the shared source; the two
-        # cycles are independent source-chains, so flows add (Lemma 3).
-        if l2 is None or l3 is None:
-            raise ValueError("PB for P5 needs L2 and L3")
-        two = l2.select("a", F.col("b").alias("e"), F.col("flow").alias("flow2"))
-        three = l3.select("a", "b", "c", F.col("flow").alias("flow3"))
-        return (
-            two.join(three, "a")
-            .where((F.col("e") != F.col("b")) & (F.col("e") != F.col("c")))
-            .select(
-                "a",
-                "e",
-                "b",
-                "c",
-                (F.col("flow2") + F.col("flow3")).alias("flow"),
-            )
+    tables = {"l2": l2, "l3": l3, "c2": c2}
+    if not pattern.parts:
+        raise PBNotApplicable(f"PB not applicable for {pattern}: no path table covers it")
+    missing = [t.upper() for t in dict.fromkeys(pattern.parts) if tables[t] is None]
+    if missing:
+        raise PBNotApplicable(
+            f"PB not applicable for {pattern}: no {'/'.join(missing)} table"
         )
-    if name == "P6":
-        if l3 is None:
-            raise ValueError("PB for P6 needs L3")
-        x = l3.select("a", "b", "c", F.col("flow").alias("flow1"))
-        y = l3.select(
-            "a", F.col("b").alias("d"), F.col("c").alias("e"), F.col("flow").alias("flow2")
+    df, groups, flows, pos = None, [], [], 0
+    for i, table in enumerate(pattern.parts):
+        path = PATH_TABLES[table]
+        run = pattern.edges[pos : pos + len(path.edges)]
+        pos += len(path.edges)
+        rename = dict(zip(path.labels, dict.fromkeys(l for e in run for l in e)))
+        if tuple((rename[v], rename[u]) for v, u in path.edges) != run:
+            raise ValueError(f"{pattern}: table {table} does not fit edges {run}")
+        part = tables[table].select(
+            *[F.col(c).alias(l) for c, l in rename.items()],
+            F.col("flow").alias(f"__flow{i}"),
         )
-        return (
-            x.join(y, "a")
-            .where(
-                (F.col("b") < F.col("d"))  # unordered pair, also b != d
-                & (F.col("b") != F.col("e"))
-                & (F.col("c") != F.col("d"))
-                & (F.col("c") != F.col("e"))
-            )
-            .select(
-                "a", "b", "c", "d", "e",
-                (F.col("flow1") + F.col("flow2")).alias("flow"),
-            )
-        )
-    if name == "P4":
-        # Figure 8(b): 3-cycle + chords a->c and b->a. Precomputed flows
-        # are unusable (the paths are not independent in the instance):
-        # enumerate candidates from L3 + edge probes, then compute each
-        # instance's flow from raw interactions with PreSim.
-        if l3 is None:
-            raise ValueError("PB for P4 needs L3")
+        df = part if df is None else df.join(part, pattern.source)
+        groups.append(list(rename.values()))
+        flows.append(F.col(f"__flow{i}"))
+    for g1, g2 in combinations(groups, 2):
+        for x, y in product(g1, g2):
+            if x not in g2 and y not in g1:
+                df = df.where(F.col(x) != F.col(y))
+    if pattern.canonical_lt is not None:
+        lo, hi = pattern.canonical_lt
+        df = df.where(F.col(lo) < F.col(hi))
+    chords = pattern.edges[pos:]
+    if chords:
         e = edges_df(interactions)
-        cand = (
-            l3.select("a", "b", "c")
-            .join(
-                e.select(F.col("u").alias("a"), F.col("v").alias("c")),
-                ["a", "c"],
-            )
-            .join(
-                e.select(F.col("u").alias("b"), F.col("v").alias("a")),
-                ["a", "b"],
-            )
+        for lv, lu in chords:
+            df = df.join(e.select(F.col("u").alias(lv), F.col("v").alias(lu)), [lv, lu])
+        per = instance_flows(
+            interactions, pattern, df.select(*pattern.labels), _presim_flow, "flow double"
         )
-        return instances_with_flow_from_raw(interactions, pattern, cand)
-    raise ValueError(f"unknown pattern {name}")
+    else:
+        per = df.select(*pattern.labels, sum(flows[1:], flows[0]).alias("flow"))
+    return _aggregate_relaxed(per, pattern) if pattern.relaxed else per
 
 
 # --------------------------------------------------------------------------
 # Table 9-11 harness
 # --------------------------------------------------------------------------
+def _count_avg(df: DataFrame):
+    return df.agg(F.count("*").alias("n"), F.avg("flow").alias("avg_flow")).collect()[0]
+
+
 def pattern_table_row(
     interactions: DataFrame,
     pattern: Pattern,
@@ -277,23 +259,21 @@ def pattern_table_row(
     accounting.
     """
     t0 = time.perf_counter()
-    gb = gb_search(interactions, pattern).agg(
-        F.count("*").alias("n"), F.avg("flow").alias("avg_flow")
-    ).collect()[0]
+    gb = _count_avg(gb_search(interactions, pattern))
     gb_s = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
-        pb = pb_search(interactions, pattern, l2=l2, l3=l3, c2=c2).agg(
-            F.count("*").alias("n"), F.avg("flow").alias("avg_flow")
-        ).collect()[0]
-        pb_s: float | None = time.perf_counter() - t0
+        pb_df = pb_search(interactions, pattern, l2=l2, l3=l3, c2=c2)
+    except PBNotApplicable:
+        pb_s, pb_n, pb_avg = None, None, None
+    else:
+        pb = _count_avg(pb_df)
+        pb_s = time.perf_counter() - t0
         pb_n, pb_avg = int(pb["n"]), pb["avg_flow"]
-    except ValueError:
-        pb_s, pb_n, pb_avg = None, None, None  # PB not applicable
 
     return {
-        "pattern": pattern.name,
+        "pattern": str(pattern),
         "instances": int(gb["n"]),
         "avg_flow": float(gb["avg_flow"]) if gb["avg_flow"] is not None else 0.0,
         "gb_seconds": gb_s,

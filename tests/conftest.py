@@ -5,12 +5,17 @@ interactions) — sparse enough that cycle enumeration stays small but
 rich enough to produce all three subgraph classes and instances of
 every pattern. Session-scoped and cached so the Spark work happens
 once per test run.
+
+The ``tie_`` fixtures are the same network with timestamps bucketed by
+``TIE_BUCKET``: about 20 distinct timestamps, so the same-timestamp rule
+of DESIGN.md §2 is hit at the Spark level, not only in core tests.
 """
 import pytest
 
 from repro.synth_data import interaction_network, interaction_network_pdf
 
 PROFILE, SF, SEED = "ctu13", 0.01, 7
+TIE_BUCKET = 50_000
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +28,18 @@ def interactions(spark):
 @pytest.fixture(scope="session")
 def interactions_pdf():
     return interaction_network_pdf(profile=PROFILE, sf=SF, seed=SEED)
+
+
+@pytest.fixture(scope="session")
+def tie_interactions_pdf(interactions_pdf):
+    return interactions_pdf.assign(ts=interactions_pdf["ts"] // TIE_BUCKET)
+
+
+@pytest.fixture(scope="session")
+def tie_interactions(spark, tie_interactions_pdf):
+    df = spark.createDataFrame(tie_interactions_pdf).cache()
+    df.count()
+    return df
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +65,33 @@ def c2(interactions):
     from repro.spark.paths import c2_table
 
     df = c2_table(interactions).cache()
+    df.count()
+    return df
+
+
+@pytest.fixture(scope="session")
+def tie_l2(tie_interactions):
+    from repro.spark.paths import l2_table
+
+    df = l2_table(tie_interactions).cache()
+    df.count()
+    return df
+
+
+@pytest.fixture(scope="session")
+def tie_l3(tie_interactions):
+    from repro.spark.paths import l3_table
+
+    df = l3_table(tie_interactions).cache()
+    df.count()
+    return df
+
+
+@pytest.fixture(scope="session")
+def tie_c2(tie_interactions):
+    from repro.spark.paths import c2_table
+
+    df = c2_table(tie_interactions).cache()
     df.count()
     return df
 

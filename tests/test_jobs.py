@@ -1,16 +1,9 @@
 """The spark-submit job entrypoints run end-to-end at tiny scale."""
-import sys
-from pathlib import Path
-
+import flow_tables
+import pattern_tables
 import pytest
-
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
-sys.path.insert(0, str(JOBS))
-
-import flow_tables  # noqa: E402
-import pattern_tables  # noqa: E402
-import table4_datasets  # noqa: E402
-import table5_subgraphs  # noqa: E402
+import table4_datasets
+import table5_subgraphs
 
 
 class TestTable4Job:

@@ -5,6 +5,8 @@ from repro.core.graph import SINK, SOURCE, TemporalGraph
 from repro.core.greedy import greedy_sink_deliveries
 
 EDGES_SQL = "(select distinct src as u, dst as v from i)"
+#: Fixture-name prefix of the network a test runs on (see conftest.py).
+NETWORKS = [pytest.param("", id="base"), pytest.param("tie_", id="ties")]
 
 
 def local_chain_deliveries(interactions_pdf, edge_seq):
@@ -37,7 +39,10 @@ class TestL2:
         con.close()
         assert got == set(exp)
 
-    def test_flows_match_local_greedy(self, l2, interactions_pdf):
+    @pytest.mark.parametrize("net", NETWORKS)
+    def test_flows_match_local_greedy(self, net, request):
+        l2 = request.getfixturevalue(net + "l2")
+        interactions_pdf = request.getfixturevalue(net + "interactions_pdf")
         pdf = l2.toPandas()
         for a, b, flow, deliveries in zip(pdf["a"], pdf["b"], pdf["flow"], pdf["deliveries"]):
             expect = local_chain_deliveries(interactions_pdf, [(a, b), (b, a)])
@@ -52,7 +57,10 @@ class TestL2:
 
 
 class TestL3:
-    def test_flows_match_local_greedy(self, l3, interactions_pdf):
+    @pytest.mark.parametrize("net", NETWORKS)
+    def test_flows_match_local_greedy(self, net, request):
+        l3 = request.getfixturevalue(net + "l3")
+        interactions_pdf = request.getfixturevalue(net + "interactions_pdf")
         pdf = l3.toPandas().head(60)
         for a, b, c, flow in zip(pdf["a"], pdf["b"], pdf["c"], pdf["flow"]):
             expect = local_chain_deliveries(
@@ -79,7 +87,10 @@ class TestC2:
         got = set(map(tuple, c2.select("a", "b", "c").toPandas().values))
         assert got == set(exp)
 
-    def test_flows_match_local_greedy(self, c2, interactions_pdf):
+    @pytest.mark.parametrize("net", NETWORKS)
+    def test_flows_match_local_greedy(self, net, request):
+        c2 = request.getfixturevalue(net + "c2")
+        interactions_pdf = request.getfixturevalue(net + "interactions_pdf")
         pdf = c2.toPandas().head(60)
         for a, b, c, flow in zip(pdf["a"], pdf["b"], pdf["c"], pdf["flow"]):
             expect = local_chain_deliveries(interactions_pdf, [(a, b), (b, c)])

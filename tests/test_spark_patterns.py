@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.patterns import ALL_PATTERNS
+from repro.spark import pattern_search
 from repro.spark.pattern_search import (
     gb_instances,
     gb_search,
@@ -94,11 +95,21 @@ class TestGbEnumeration:
             assert (pdf[cols[0]] != pdf[cols[1]]).all()
 
 
+PATTERN_NAMES = ["P1", "P2", "P3", "P4", "P5", "P6", "RP1", "RP2", "RP3"]
+
+
 class TestGbEqualsPb:
+    # ``net`` is the fixture-name prefix: "" for the session network,
+    # "tie_" for its tie-dense twin (see conftest.py).
     @pytest.mark.parametrize(
-        "name", ["P1", "P2", "P3", "P4", "P5", "P6", "RP1", "RP2", "RP3"]
+        "name,net",
+        [pytest.param(n, "", id=n) for n in PATTERN_NAMES]
+        + [pytest.param(n, "tie_", id=f"{n}-ties") for n in PATTERN_NAMES],
     )
-    def test_same_instances_and_flows(self, name, interactions, l2, l3, c2):
+    def test_same_instances_and_flows(self, name, net, request):
+        interactions, l2, l3, c2 = (
+            request.getfixturevalue(net + f) for f in ("interactions", "l2", "l3", "c2")
+        )
         pattern = ALL_PATTERNS[name]
         gb = gb_search(interactions, pattern).toPandas()
         pb = pb_search(interactions, pattern, l2=l2, l3=l3, c2=c2).toPandas()
@@ -154,3 +165,15 @@ class TestHarness:
         row = pattern_table_row(interactions, ALL_PATTERNS["P1"], l2=l2, l3=l3)
         assert row["pb_seconds"] is None
         assert row["instances"] > 0
+
+    def test_pattern_table_row_reraises_genuine_errors(
+        self, interactions, l2, monkeypatch
+    ):
+        # Only PBNotApplicable means "n/a"; any other error inside PB
+        # must surface instead of becoming an empty table cell.
+        def broken(*args, **kwargs):
+            raise ValueError("broken PB plan")
+
+        monkeypatch.setattr(pattern_search, "pb_search", broken)
+        with pytest.raises(ValueError, match="broken PB plan"):
+            pattern_table_row(interactions, ALL_PATTERNS["P2"], l2=l2)
