@@ -7,24 +7,31 @@ flow of the resulting DAG. Here the whole extraction is Catalyst
 DataFrame work:
 
 1. self-join the distinct-edge table into 2-hop (``a→b→a``) and 3-hop
-   (``a→b→c→a``) cycles;
-2. union the constituent edges per seed, with each intermediate vertex
-   annotated by its minimal hop position over all of the seed's paths;
-3. keep an intermediate edge ``(u, v)`` only when ``pos(u) < pos(v)``
-   — the deterministic DAG guarantee of DESIGN.md §1(4) (Algorithm 1
-   requires a DAG; unioning raw cycle paths may create intermediate
-   cycles);
+   (``a→b→c→a``) cycles, each family planned once;
+2. turn every path into hop-tagged ``(seed, u, v, hop)`` edge rows with
+   one ``inline``, repartition them by seed, and give each endpoint its
+   minimal hop position over the seed's paths with two windows — the
+   minimal tail hop over ``(seed, u)`` and the minimal head hop over
+   ``(seed, v)`` (the seed is 0 as a tail and last as a head);
+3. keep an edge ``(u, v)`` only when ``pos(u) < pos(v)``, then take the
+   distinct ``(seed, u, v)`` — the deterministic DAG guarantee of
+   DESIGN.md §1(4) (Algorithm 1 requires a DAG; unioning raw cycle paths
+   may create intermediate cycles);
 4. attach the edges' interaction sequences and relabel the seed's
    outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2);
-5. drop seeds whose subgraph exceeds ``max_interactions`` (the paper
-   dropped >10K-interaction subgraphs for the same reason: the direct
-   LP baseline explodes).
+5. drop seeds whose subgraph exceeds ``max_interactions``, counted by a
+   window over the seed (the paper dropped >10K-interaction subgraphs
+   for the same reason: the direct LP baseline explodes).
+
+``extraction_report`` counts what steps 3 and 5 drop; the extraction
+itself does not compute it.
 
 Returns one row per (seed, interaction): ``seed, src, dst, ts, qty``.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
@@ -67,6 +74,38 @@ def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
     raise ValueError("hops must be 2 or 3")
 
 
+def _positioned_edges(interactions: DataFrame) -> DataFrame:
+    """Every cycle-path edge as ``(seed, u, v, pu, pv)``, one row per
+    path it lies on.
+
+    ``pu`` / ``pv`` are the endpoints' minimal hop positions over the
+    seed's paths; the seed is 0 as a tail and 9 (after any hop) as a
+    head. Both minima are windows over one seed-partitioned frame.
+    """
+    def hop(u: str, v: str, i: int):
+        return F.struct(F.col(u).alias("u"), F.col(v).alias("v"), F.lit(i).alias("hop"))
+
+    p2 = cycle_paths(interactions, 2).select(
+        F.col("a").alias("seed"), F.array(hop("a", "b", 0), hop("b", "a", 1)).alias("e")
+    )
+    p3 = cycle_paths(interactions, 3).select(
+        F.col("a").alias("seed"),
+        F.array(hop("a", "b", 0), hop("b", "c", 1), hop("c", "a", 2)).alias("e"),
+    )
+    edges = p2.unionByName(p3).select("seed", F.inline("e")).repartition("seed")
+    # A vertex at hop k of a path is the tail of that path's edge k and
+    # the head of its edge k - 1, so either minimum is its pos.
+    pu = F.min("hop").over(Window.partitionBy("seed", "u"))
+    pv = F.min(F.col("hop") + 1).over(Window.partitionBy("seed", "v"))
+    return edges.select(
+        "seed",
+        "u",
+        "v",
+        F.when(F.col("u") == F.col("seed"), 0).otherwise(pu).alias("pu"),
+        F.when(F.col("v") == F.col("seed"), 9).otherwise(pv).alias("pv"),
+    )
+
+
 def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     """Per-seed DAG edge set: ``(seed, u, v)`` after the pos-filter.
 
@@ -74,44 +113,26 @@ def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     endpoint and is relabeled later. Also applies the ``pos(u) <
     pos(v)`` DAG filter to intermediate edges.
     """
-    p2 = cycle_paths(interactions, 2)
-    p3 = cycle_paths(interactions, 3)
+    pos = _positioned_edges(interactions)
+    return pos.where(F.col("pu") < F.col("pv")).select("seed", "u", "v").distinct()
 
-    # Candidate edges per seed, tagged with endpoint hop positions
-    # (seed-out = 0, seed-in = "infinity" encoded as 9).
-    edges = (
-        p2.select(F.col("a").alias("seed"), F.col("a").alias("u"), F.col("b").alias("v"))
-        .unionByName(p2.select(F.col("a").alias("seed"), F.col("b").alias("u"), F.col("a").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("a").alias("u"), F.col("b").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("b").alias("u"), F.col("c").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("c").alias("u"), F.col("a").alias("v")))
-        .distinct()
-    )
 
-    # Minimal hop position of every intermediate vertex per seed.
-    pos = (
-        p2.select(F.col("a").alias("seed"), F.col("b").alias("w"), F.lit(1).alias("p"))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("b").alias("w"), F.lit(1).alias("p")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("c").alias("w"), F.lit(2).alias("p")))
-        .groupBy("seed", "w")
-        .agg(F.min("p").alias("pos"))
-    )
-
-    with_pos = (
+def _seed_interactions(interactions: DataFrame) -> DataFrame:
+    """Uncapped extraction: ``(seed, src, dst, ts, qty)``."""
+    edges = seed_edge_sets(interactions)
+    return (
         edges.join(
-            pos.select(F.col("seed"), F.col("w").alias("u"), F.col("pos").alias("pu")),
-            ["seed", "u"],
-            "left",
+            interactions,
+            (edges["u"] == interactions["src"]) & (edges["v"] == interactions["dst"]),
         )
-        .join(
-            pos.select(F.col("seed"), F.col("w").alias("v"), F.col("pos").alias("pv")),
-            ["seed", "v"],
-            "left",
+        .select(
+            "seed",
+            F.when(F.col("u") == F.col("seed"), F.lit(SOURCE)).otherwise(F.col("u")).alias("src"),
+            F.when(F.col("v") == F.col("seed"), F.lit(SINK)).otherwise(F.col("v")).alias("dst"),
+            "ts",
+            "qty",
         )
-        .withColumn("pu", F.when(F.col("u") == F.col("seed"), 0).otherwise(F.col("pu")))
-        .withColumn("pv", F.when(F.col("v") == F.col("seed"), 9).otherwise(F.col("pv")))
     )
-    return with_pos.where(F.col("pu") < F.col("pv")).select("seed", "u", "v")
 
 
 def extract_seed_subgraphs(
@@ -127,25 +148,45 @@ def extract_seed_subgraphs(
     dropped (paper: 10K); ``max_seeds`` keeps the lowest seed ids for a
     deterministic cap.
     """
-    edges = seed_edge_sets(interactions)
+    n_i = F.count("*").over(Window.partitionBy("seed"))
     sub = (
-        edges.join(
-            interactions,
-            (edges["u"] == interactions["src"]) & (edges["v"] == interactions["dst"]),
-        )
-        .select(
-            "seed",
-            F.when(F.col("u") == F.col("seed"), F.lit(SOURCE)).otherwise(F.col("u")).alias("src"),
-            F.when(F.col("v") == F.col("seed"), F.lit(SINK)).otherwise(F.col("v")).alias("dst"),
-            "ts",
-            "qty",
+        _seed_interactions(interactions)
+        .withColumn("n_i", n_i)
+        .where(F.col("n_i") <= max_interactions)
+        .drop("n_i")
+    )
+    if max_seeds is not None:
+        keep = sub.select("seed").distinct().orderBy("seed").limit(max_seeds)
+        sub = sub.join(keep, "seed")
+    return sub
+
+
+def extraction_report(interactions: DataFrame, max_interactions: int = 800) -> DataFrame:
+    """What extraction drops, as one row: ``n_seeds`` (seeds with a
+    ≤3-hop cycle), ``n_seeds_over_cap`` (seeds with more than
+    ``max_interactions`` interactions) and ``n_back_edges`` (distinct
+    ``(seed, u, v)`` edges cut by the ``pos(u) < pos(v)`` filter).
+
+    Not part of ``extract_seed_subgraphs``, so the flow job pays nothing
+    for it.
+    """
+    seeds = (
+        _seed_interactions(interactions)
+        .groupBy("seed")
+        .agg(F.count("*").alias("n_i"))
+        .agg(
+            F.count("*").alias("n_seeds"),
+            F.count(F.when(F.col("n_i") > max_interactions, 1)).alias("n_seeds_over_cap"),
         )
     )
-    counts = sub.groupBy("seed").agg(F.count("*").alias("n_i"))
-    keep = counts.where(F.col("n_i") <= max_interactions).select("seed")
-    if max_seeds is not None:
-        keep = keep.orderBy("seed").limit(max_seeds)
-    return sub.join(keep, "seed")
+    back = (
+        _positioned_edges(interactions)
+        .where(F.col("pu") >= F.col("pv"))
+        .select("seed", "u", "v")
+        .distinct()
+        .agg(F.count("*").alias("n_back_edges"))
+    )
+    return seeds.crossJoin(back)
 
 
 def subgraph_stats(subgraphs: DataFrame) -> DataFrame:

@@ -106,6 +106,15 @@ def subgraphs(interactions):
 
 
 @pytest.fixture(scope="session")
+def tie_subgraphs(tie_interactions):
+    from repro.spark.subgraphs import extract_seed_subgraphs
+
+    df = extract_seed_subgraphs(tie_interactions, max_interactions=400).cache()
+    df.count()
+    return df
+
+
+@pytest.fixture(scope="session")
 def flow_results(subgraphs):
     from repro.spark.flow_jobs import compute_flows
 

@@ -27,6 +27,8 @@ class TestTable5Job:
         for r in rows:
             assert r["n_subgraphs"] > 0
             assert r["avg_interactions"] > 0
+            assert r["n_seeds"] - r["n_seeds_over_cap"] == r["n_subgraphs"]
+            assert r["n_back_edges"] >= 0
 
 
 class TestFlowTablesJob:

@@ -11,6 +11,7 @@ from repro.spark.flow_jobs import (
     interaction_bucket_table,
     runtime_table,
 )
+from repro.spark.subgraphs import extract_seed_subgraphs, subgraph_stats
 
 
 class TestComputeFlows:
@@ -59,6 +60,41 @@ class TestComputeFlows:
         big = res[res["n_interactions"] > 10]
         assert big["flow_lp"].isna().all()
         assert big["flow_pre"].notna().all()
+
+
+class TestTieFlows:
+    """The flow job on subgraphs whose interactions share timestamps."""
+
+    @pytest.fixture(scope="class")
+    def tie_results(self, tie_subgraphs):
+        return compute_flows(tie_subgraphs).toPandas()
+
+    def test_subgraphs_have_ties(self, tie_subgraphs):
+        pdf = tie_subgraphs.toPandas()
+        assert pdf.duplicated(["seed", "ts"]).any()
+
+    def test_methods_agree(self, tie_results):
+        assert np.allclose(tie_results["flow_lp"], tie_results["flow_pre"])
+        assert np.allclose(tie_results["flow_pre"], tie_results["flow_presim"])
+        assert (tie_results["flow_greedy"] <= tie_results["flow_presim"] + 1e-6).all()
+
+    def test_class_a_greedy_equals_max(self, tie_results):
+        a = tie_results[tie_results["cls"] == "A"]
+        assert len(a) > 0
+        assert np.allclose(a["flow_greedy"], a["flow_presim"])
+
+
+class TestEmptyNetwork:
+    def test_no_subgraphs_no_error(self, spark):
+        empty = spark.createDataFrame([], "src long, dst long, ts long, qty double")
+        sub = extract_seed_subgraphs(empty)
+        assert sub.count() == 0
+        assert subgraph_stats(sub).collect()[0]["n_subgraphs"] == 0
+        results = compute_flows(sub)
+        assert results.count() == 0
+        table = runtime_table(results).toPandas()
+        assert list(table["cls"]) == ["All"]
+        assert table["n_subgraphs"].tolist() == [0]
 
 
 class TestRuntimeTable:

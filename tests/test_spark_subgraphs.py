@@ -8,11 +8,70 @@ from repro.oracle import assert_equivalent
 from repro.spark.subgraphs import (
     cycle_paths,
     extract_seed_subgraphs,
+    extraction_report,
     seed_edge_sets,
     subgraph_stats,
 )
 
 EDGES_SQL = "(select distinct src as u, dst as v from i)"
+
+# DESIGN.md §1.4 as SQL: the union of the seeds' ≤3-hop cycle-path edges
+# (``path_edges``), each endpoint tagged with its minimal hop position
+# over the seed's paths (seed as tail 0, seed as head 9).
+MIN_HOP_CTES = f"""
+with p2 as (
+  select e1.u a, e1.v b from {EDGES_SQL} e1 join {EDGES_SQL} e2
+    on e1.v = e2.u and e2.v = e1.u
+), p3 as (
+  select e1.u a, e1.v b, e2.v c from {EDGES_SQL} e1
+    join {EDGES_SQL} e2 on e1.v = e2.u
+    join {EDGES_SQL} e3 on e2.v = e3.u and e3.v = e1.u
+  where e2.v != e1.u and e1.v != e2.v
+), path_edges as (
+  select a seed, a u, b v from p2 union select a, b, a from p2
+  union select a, a, b from p3 union select a, b, c from p3
+  union select a, c, a from p3
+), pos as (
+  select seed, w, min(p) pos from (
+    select a seed, b w, 1 p from p2 union all
+    select a, b, 1 from p3 union all
+    select a, c, 2 from p3
+  ) group by seed, w
+), positioned as (
+  select e.seed, e.u, e.v,
+         case when e.u = e.seed then 0 else pu.pos end pu,
+         case when e.v = e.seed then 9 else pv.pos end pv
+  from path_edges e
+  left join pos pu on pu.seed = e.seed and pu.w = e.u
+  left join pos pv on pv.seed = e.seed and pv.w = e.v
+)
+"""
+SEED_EDGES_SQL = MIN_HOP_CTES + "select seed, u, v from positioned where pu < pv"
+
+
+def tiny_network(spark):
+    """Seeds 1, 2, 3, all edges between them: each seed's paths put both
+    other vertices at hop 1, so the two edges between them are cut."""
+    rows = [(u, v, 10 * u + v, 1.0) for u in (1, 2, 3) for v in (1, 2, 3) if u != v]
+    return spark.createDataFrame(rows, "src long, dst long, ts long, qty double")
+
+
+def ran_stages(sc, group: str) -> int:
+    """Stages a job group ran (not those skipped for reused shuffles)."""
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    stage_ids = {
+        sid
+        for j in tracker.getJobIdsForGroup(group)
+        if (info := tracker.getJobInfo(j)) is not None
+        for sid in info.stageIds
+    }
+    return sum(
+        1
+        for sid in stage_ids
+        if (st := tracker.getStageInfo(sid)) is not None
+        and st.numCompletedTasks + st.numFailedTasks > 0
+    )
 
 
 class TestCyclePaths:
@@ -52,6 +111,22 @@ class TestCyclePaths:
 
 
 class TestSeedEdgeSets:
+    @pytest.mark.parametrize("prefix", ["", "tie_"], ids=["base", "ties"])
+    def test_matches_min_hop_oracle(self, request, prefix):
+        assert_equivalent(
+            seed_edge_sets(request.getfixturevalue(f"{prefix}interactions")),
+            SEED_EDGES_SQL,
+            i=request.getfixturevalue(f"{prefix}interactions_pdf"),
+        )
+
+    def test_same_hop_edges_cut(self, spark):
+        pdf = seed_edge_sets(tiny_network(spark)).toPandas()
+        got = sorted(map(tuple, pdf[["seed", "u", "v"]].values.tolist()))
+        assert got == sorted(
+            (s, u, v) for s in (1, 2, 3) for u in (1, 2, 3) for v in (1, 2, 3)
+            if u != v and s in (u, v)
+        )
+
     def test_every_seed_subgraph_is_a_dag(self, interactions):
         pdf = seed_edge_sets(interactions).toPandas()
         for seed, grp in pdf.groupby("seed"):
@@ -116,6 +191,48 @@ class TestExtraction:
                 u = seed if src == SOURCE else src
                 v = seed if dst == SINK else dst
                 assert net[(u, v, ts)] == pytest.approx(qty)
+
+
+class TestExtractionReport:
+    def test_matches_oracle(self, interactions, interactions_pdf):
+        cap = 50
+        assert_equivalent(
+            extraction_report(interactions, max_interactions=cap),
+            MIN_HOP_CTES
+            + f"""
+            , per_seed as (
+              select e.seed, count(*) n_i
+              from positioned e join i on e.u = i.src and e.v = i.dst
+              where e.pu < e.pv
+              group by e.seed
+            )
+            select (select count(*) from per_seed) n_seeds,
+                   (select count(*) from per_seed where n_i > {cap}) n_seeds_over_cap,
+                   (select count(*) from positioned where pu >= pv) n_back_edges
+            """,
+            i=interactions_pdf,
+        )
+
+    def test_counts_same_hop_edges(self, spark):
+        row = extraction_report(tiny_network(spark), max_interactions=3).collect()[0]
+        assert row.asDict() == {"n_seeds": 3, "n_seeds_over_cap": 3, "n_back_edges": 6}
+
+
+class TestPlanSize:
+    def test_extraction_stage_count(self, spark, interactions):
+        sc = spark.sparkContext
+        group = "extract_seed_subgraphs"
+        sc.setJobGroup(group, group)
+        try:
+            extract_seed_subgraphs(interactions).count()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # Stages run on the session network, 64 shuffle partitions: 126
+        # when the 2- and 3-hop cycle joins were planned once per union
+        # branch and pos was joined in twice; 15 with each cycle family
+        # planned once and pos taken by windows. Twice 15 still catches a
+        # return of the re-planned joins.
+        assert ran_stages(sc, group) <= 30
 
 
 class TestSubgraphStats:
